@@ -380,7 +380,6 @@ def sharded_replay(
     replicas: int = 4,
     lp_cache: bool = True,
     with_crashes: bool = False,
-    transport: str = "shm",
 ) -> ReplayReport:
     """Run one sharded world with ``shards=1`` and ``shards=N`` and diff.
 
@@ -393,37 +392,29 @@ def sharded_replay(
     the proof.  ``replicas`` stamps out enough clusters that every worker
     owns several (the interesting regime for packing bugs).
 
-    The shards=N comparison runs under *both* data planes — the pickled
-    pipe transport and the shared-memory seqlock plane — so one report
-    also proves the transport is digest-invisible (both planes carry the
-    same float64 values bit-exactly; see docs/DETERMINISM.md).  Crash
-    runs use the selected ``transport``.
-
     ``with_crashes`` extends the contract to recovery: a third run kills
     workers at two distinct epochs (clean-exception path at one, SIGKILL
     at another) and must respawn from checkpoints to the same digest; a
     fourth run exhausts a one-restart budget so the dead shard's clusters
-    are *reassigned* to survivors — it must also reach the same digest,
-    and a run that never triggered reassignment is marked divergent (the
-    harness would otherwise silently stop testing degradation).
+    are *reassigned* to survivors — it must also reach the same digest.
+    A crash run that recorded no restart, or a budget run that never
+    triggered reassignment, is marked divergent (the harness would
+    otherwise silently stop testing recovery).
     """
     from repro.experiments.sharded import run_sharded
 
     if shards < 2:
         raise ValueError("shard parity needs shards >= 2 to compare against 1")
-    if transport not in ("pipe", "shm"):
-        raise ValueError(f"transport must be pipe or shm, not {transport!r}")
     digests: List[str] = []
     labels: List[str] = []
     meta: Dict[str, Any] = {
         "duration_scale": duration_scale, "seed": seed,
         "replicas": replicas, "lp_cache": lp_cache,
-        "transport": transport,
     }
     final_ckpt = ""
     res = run_sharded(
         figure, duration_scale=duration_scale, seed=seed, shards=1,
-        replicas=replicas, lp_cache=lp_cache, transport=transport,
+        replicas=replicas, lp_cache=lp_cache,
     )
     digests.append(res.digest())
     labels.append("shards=1")
@@ -431,18 +422,15 @@ def sharded_replay(
     meta["clusters"] = len(res.clusters)
     meta["lp_solves"] = res.lp_solves
     final_ckpt = res.final_checkpoint_digest
-    bytes_per_epoch: Dict[str, int] = {}
-    for plane in ("pipe", "shm"):
-        res = run_sharded(
-            figure, duration_scale=duration_scale, seed=seed, shards=shards,
-            replicas=replicas, lp_cache=lp_cache, transport=plane,
-        )
-        digests.append(res.digest())
-        labels.append(f"shards={shards} {res.data_plane}")
-        bytes_per_epoch[res.data_plane] = res.bytes_per_epoch
-        if plane == "shm" and res.transport_fallback is not None:
-            meta["transport_fallback"] = res.transport_fallback
-    meta["bytes_per_epoch"] = bytes_per_epoch
+    res = run_sharded(
+        figure, duration_scale=duration_scale, seed=seed, shards=shards,
+        replicas=replicas, lp_cache=lp_cache,
+    )
+    digests.append(res.digest())
+    labels.append(f"shards={shards} {res.data_plane}")
+    meta["bytes_per_epoch"] = res.bytes_per_epoch
+    if res.transport_fallback is not None:
+        meta["transport_fallback"] = res.transport_fallback
     if with_crashes:
         from repro.coordination.checkpoint import RecoveryPolicy
 
@@ -453,9 +441,11 @@ def sharded_replay(
         res = run_sharded(
             figure, duration_scale=duration_scale, seed=seed, shards=shards,
             replicas=replicas, lp_cache=lp_cache, faults=crash_faults,
-            transport=transport,
         )
-        digests.append(res.digest())
+        d = res.digest()
+        if not res.restarts:
+            d += ":restart-not-triggered"
+        digests.append(d)
         labels.append(f"shards={shards}+crashes")
         meta["crash_faults"] = list(crash_faults)
         meta["crash_restarts"] = len(res.restarts)
@@ -469,7 +459,6 @@ def sharded_replay(
             replicas=replicas, lp_cache=lp_cache,
             faults=[f"0:{e1}:kill", f"0:{e2}:kill"],
             recovery=RecoveryPolicy(max_restarts=1, backoff_base=0.01),
-            transport=transport,
         )
         d = res.digest()
         if not res.reassignments:

@@ -3,12 +3,13 @@
 The paper's enforcement scheme is built to survive node loss — the
 combining tree heals around a dead node and allocation degrades to the
 conservative 1/R split (§3.2).  This module gives the *execution
-substrate* the same property: at every window barrier each worker ships a
-compact :class:`ClusterCheckpoint` per cluster (RNG substream position,
-residual-carry admission state, mergeable response-time
+substrate* the same property: at every window barrier each worker
+publishes a compact :class:`ClusterCheckpoint` per cluster (RNG substream
+position, residual-carry admission state, mergeable response-time
 :class:`~repro.coordination.aggregation.StreamStats`, and the Lindley
-server clock), and the parent retains the last K epochs in a
-:class:`CheckpointStore`.  Because a cluster's entire private state is
+server clock) into the shared-memory ring, which retains the last K
+epochs; a :class:`CheckpointStore` mirrors them parent-side when a spill
+file is requested.  Because a cluster's entire private state is
 exactly those four things — the per-window history arrays live in the
 parent — a respawned worker restored from the latest checkpoint replays
 the in-flight window bit-identically: the Philox counter resumes at the
@@ -29,8 +30,8 @@ bit-generator state, the :class:`StreamStats` moments, the Lindley clock
 and the per-principal carry.  The shared-memory data plane
 (:mod:`repro.coordination.shm`) writes these rows into a K-deep ring at
 every barrier — zero pickling — and the round-trip is bit-exact, so a
-checkpoint restored from the binary form digests identically to one that
-crossed a pipe.
+checkpoint restored from the binary form digests identically to the
+worker's in-memory original.
 
 :class:`RecoveryPolicy` governs the parent's reaction to a
 :class:`~repro.coordination.barrier.ShardWorkerError`: how many respawns
@@ -240,7 +241,7 @@ def unpack_checkpoint(row: np.ndarray,
     ``Generator.bit_generator.state`` produces (uint64 arrays for
     counter/key/buffer, plain ints for the scalars), so the canonical JSON
     form — and therefore :meth:`ClusterCheckpoint.digest` — is identical
-    to the pipe-transported original.
+    to the packed original.
     """
     if row.dtype != np.uint64 or row.shape != (record_words(len(principals)),):
         raise ValueError("unpack_checkpoint: wrong row shape/dtype")

@@ -3,14 +3,12 @@
 The paper's enforcement loop is a per-window cycle — summarized demand up
 a combining tree, one allocation vector broadcast back down — and its
 economics depend on the measurement plane costing ~nothing next to the
-work it measures.  PR 7/9 crossed that boundary with pickled pipe
-messages: every epoch serialized per-cluster ``VectorAggregate``s plus a
-full checkpoint that was JSON-canonicalized and SHA-256'd before the next
-window could start.  This module replaces that with one preallocated
-``multiprocessing.shared_memory`` segment, viewed through numpy:
+work it measures.  The sharded lane therefore crosses each window
+boundary through one preallocated ``multiprocessing.shared_memory``
+segment, viewed through numpy, instead of pickled messages:
 
 * a **control block** the parent seqlock-publishes each epoch's
-  allocation into (replacing per-shard ``AllocationMessage`` sends), and
+  allocation into (one write, read by every shard), and
 * one **region per shard** holding a K-deep ring of fixed-layout slots;
   each slot has demand and admitted columns (``C×P float64``) plus one
   binary checkpoint record per cluster
@@ -26,10 +24,12 @@ therefore does **zero pickling and zero hashing**; pipes remain only for
 low-rate control traffic (faults, reassignment, finish, failure), and the
 checkpoint ring is decoded only on restore, spill, or audit.
 
-Memory-ordering caveat: the seqlock has no explicit fences — it relies on
-the total-store-order guarantee of x86-64 (and on CPython's interpreter
-making every numpy store a completed call before the next begins).  That
-is the documented portability boundary; the torn-read stress test in
+Memory-ordering boundary: the seqlock has no explicit fences — it relies
+on the total-store-order guarantee of x86-64 (and on CPython's
+interpreter making every numpy store a completed call before the next
+begins).  :meth:`ShmDataPlane.create` therefore refuses any other
+architecture with :class:`ShmUnavailable`, and the sharded runner steps
+the world inline there instead.  The torn-read stress test in
 ``tests/coordination/test_shm.py`` exercises the retry path empirically.
 
 Every region is sized for *all* clusters in the world (rows are indexed
@@ -46,6 +46,7 @@ the parent, the ``e−1`` slot a restore reads is always intact while epoch
 from __future__ import annotations
 
 import math
+import platform
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -73,9 +74,13 @@ __all__ = [
 # so the reconstructed dict has exactly the sender's key set.
 _CTL_BASE_WORDS = 3
 
+# CPUs whose total store order the fence-free seqlock relies on
+# (``platform.machine()`` spells x86-64 differently per OS).
+_TSO_MACHINES = ("x86_64", "AMD64")
+
 
 class ShmUnavailable(RuntimeError):
-    """Shared memory cannot be used here; callers fall back to pipes."""
+    """Shared memory cannot be used (safely) here; callers run inline."""
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,18 @@ class ShmDataPlane:
     def create(cls, clusters: Sequence[str], principals: Sequence[str],
                shards: int, depth: int = 2,
                unregister_on_attach: bool = False) -> "ShmDataPlane":
-        """Allocate the segment in the parent; raises :class:`ShmUnavailable`
-        when the platform cannot provide POSIX shared memory."""
+        """Allocate the segment in the parent.
+
+        Raises :class:`ShmUnavailable` when the CPU is not x86-64 (the
+        seqlock needs its store ordering) or the platform cannot provide
+        POSIX shared memory.
+        """
+        machine = platform.machine()
+        if machine not in _TSO_MACHINES:
+            raise ShmUnavailable(
+                f"seqlock needs x86-64 total store order; this CPU is "
+                f"{machine or 'unknown'}"
+            )
         try:
             from multiprocessing import shared_memory
         except ImportError as exc:                       # pragma: no cover

@@ -213,7 +213,6 @@ def run_crash_recovery_matrix(
     seed: int = 0,
     shards: int = 4,
     replicas: int = 4,
-    transport: str = "shm",
 ) -> Dict[str, Any]:
     """Crash-recovery matrix: every death mode must leave the digest intact.
 
@@ -227,13 +226,12 @@ def run_crash_recovery_matrix(
       retires the shard and its clusters move to the survivors.
 
     Every cell must reproduce the reference digest bit-identically — the
-    matrix's single pass/fail; ``reassign`` must additionally record at
-    least one :class:`~repro.coordination.checkpoint.ShardReassignment`
-    (otherwise the cell exercised nothing and is marked failed).
-
-    ``transport`` selects the faulted cells' data plane (pipe or shm); the
-    shards=1 reference runs inline either way, so matrix parity also
-    proves recovery is digest-identical on the chosen transport.
+    matrix's single pass/fail.  A cell must also show that it exercised
+    its path: ``exc``/``kill``/``multi`` must record at least one
+    :class:`~repro.coordination.checkpoint.ShardRestart` and ``reassign``
+    at least one :class:`~repro.coordination.checkpoint.ShardReassignment`;
+    otherwise (e.g. a run that fell back inline, where no worker exists
+    to die) the cell is marked failed.
     """
     from repro.experiments.sharded import run_sharded
 
@@ -250,9 +248,10 @@ def run_crash_recovery_matrix(
             kwargs["recovery"] = recovery
         res = run_sharded(figure, duration_scale=duration_scale, seed=seed,
                           shards=shards, replicas=replicas, faults=faults,
-                          transport=transport, **kwargs)
+                          **kwargs)
         degraded = len(res.reassignments)
-        ok = res.digest() == ref and (degraded > 0 or not need_reassign)
+        exercised = degraded > 0 if need_reassign else len(res.restarts) > 0
+        ok = res.digest() == ref and exercised
         cells[name] = {
             "faults": list(faults),
             "digest": res.digest(),
@@ -274,7 +273,6 @@ def run_crash_recovery_matrix(
     return {
         "figure": figure,
         "shards": shards,
-        "transport": transport,
         "epochs": [e1, e2],
         "baseline_digest": ref,
         "cells": cells,

@@ -285,22 +285,20 @@ def run_fig6(
     duration_scale: float = 1.0, seed: int = 0,
     lp_cache: bool = True, fast_periodic: bool = True,
     fast_lane: bool = True, lane: Optional[str] = None,
-    shards: Optional[int] = None, transport: str = "shm",
+    shards: Optional[int] = None,
 ) -> FigureResult:
     """Fig 6: V=320; A [0.2,1] with two 135 req/s clients at R1; B [0.8,1]
     with one client at R2.  Three phases: both active / only A / both.
 
     ``shards`` routes to the sharded lane (one worker process per shard,
     window-epoch barriers — see :mod:`repro.experiments.sharded`); results
-    there are digest-identical for every shard count and for either
-    ``transport`` (pipe or shared-memory data plane).
+    there are digest-identical for every shard count.
     """
     if shards is not None and shards > 0:
         from repro.experiments.sharded import run_sharded_figure
 
         return run_sharded_figure("fig6", duration_scale=duration_scale,
-                                  seed=seed, shards=shards, lp_cache=lp_cache,
-                                  transport=transport)
+                                  seed=seed, shards=shards, lp_cache=lp_cache)
     sc, T = fig6_scenario(duration_scale, seed, lp_cache, fast_periodic,
                           fast_lane, lane=lane)
     settle = min(5.0, T * 0.2)
@@ -485,7 +483,6 @@ def run_fig9(
     lp_cache: bool = True, fast_periodic: bool = True,
     fast_lane: bool = True, l4_fast_lane: bool = True,
     lane: Optional[str] = None, shards: Optional[int] = None,
-    transport: str = "shm",
 ) -> FigureResult:
     """Fig 9: A and B each own a 320 req/s server; B grants A [0.5, 0.5].
     Four phases: A 2 clients / none / 1 client / none, B always one client;
@@ -497,8 +494,7 @@ def run_fig9(
         from repro.experiments.sharded import run_sharded_figure
 
         return run_sharded_figure("fig9", duration_scale=duration_scale,
-                                  seed=seed, shards=shards, lp_cache=lp_cache,
-                                  transport=transport)
+                                  seed=seed, shards=shards, lp_cache=lp_cache)
     sc, T = fig9_scenario(duration_scale, seed, lp_cache, fast_periodic,
                           fast_lane, l4_fast_lane, lane=lane)
     settle = min(5.0, T * 0.2)

@@ -114,7 +114,6 @@ def figure_kwargs(
     l4_fast_lane: bool = True,
     lane: Optional[str] = None,
     shards: Optional[int] = None,
-    transport: str = "shm",
 ) -> Dict[str, Any]:
     """Keyword arguments for one ``run_figN`` entry point.
 
@@ -124,9 +123,7 @@ def figure_kwargs(
     ``l4_fast_lane`` only reaches the L4 figures (fig9/fig10) — the other
     entry points have no L4 switch to thread it to; ``lane`` only reaches
     the figures with a columnar-capable scenario (fig6/fig9/fig10);
-    ``shards`` only reaches the figures with a sharded world (fig6/fig9),
-    as does ``transport`` (the sharded lane's data plane; results are
-    bit-identical for pipe and shm).
+    ``shards`` only reaches the figures with a sharded world (fig6/fig9).
     """
     s = scenario_seed(seed, name) if partition_seeds else seed
     if name in ("fig1", "fig3"):
@@ -142,7 +139,6 @@ def figure_kwargs(
         kwargs["lane"] = lane
     if shards is not None and name in ("fig6", "fig9"):
         kwargs["shards"] = shards
-        kwargs["transport"] = transport
     return kwargs
 
 
@@ -164,7 +160,6 @@ def run_figures_parallel(
     l4_fast_lane: bool = True,
     lane: Optional[str] = None,
     shards: Optional[int] = None,
-    transport: str = "shm",
 ) -> List[Tuple[str, Any]]:
     """Run paper figures across worker processes.
 
@@ -180,7 +175,7 @@ def run_figures_parallel(
         raise KeyError(f"unknown figures {unknown}; have {list(ALL_FIGURES)}")
     tasks = [
         (n, figure_kwargs(n, scale, seed, lp_cache, partition_seeds,
-                          fast_lane, l4_fast_lane, lane, shards, transport))
+                          fast_lane, l4_fast_lane, lane, shards))
         for n in wanted
     ]
     return parallel_map(_figure_task, tasks, jobs=jobs)

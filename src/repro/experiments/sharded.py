@@ -46,19 +46,19 @@ checkpoint resumes the Philox counter at the exact draw of the snapshot.
 bit-identical SHA-256 digests — enforced by ``repro check --shards
 [--with-crashes]`` exactly like the three-way lane digest.
 
-Two data planes carry the boundary exchange.  The default ``transport=
-"shm"`` uses the zero-copy shared-memory plane
-(:mod:`repro.coordination.shm`): the parent seqlock-publishes each
-epoch's allocation into a control block, workers write demand/admitted
-columns and binary checkpoint records into per-shard ring slots, and the
-parent folds allocations straight out of the arrays — the steady-state
-epoch does zero pickling and zero hashing, and pipes carry only control
-traffic (faults, reassignment, finish, failure).  ``transport="pipe"``
-keeps the PR 7/9 pickled-message plane; the runner also falls back to it
-automatically (recorded in ``ShardedResult.transport_fallback``) when
-shared memory is unavailable.  The transport is digest-invisible: both
-planes move the same float64 values bit-exactly and fold them in the
-same order.
+One data plane carries the boundary exchange: the zero-copy
+shared-memory plane (:mod:`repro.coordination.shm`).  The parent
+seqlock-publishes each epoch's allocation into a control block, workers
+write demand/admitted columns and binary checkpoint records into
+per-shard ring slots, and the parent folds allocations straight out of
+the arrays — the steady-state epoch does zero pickling and zero hashing.
+Pipes carry only control traffic (faults, reassignment, finish,
+failure).  Where shared memory is unavailable or unsafe
+(:class:`~repro.coordination.shm.ShmUnavailable`: no POSIX shared
+memory, or a CPU whose store ordering the fence-free seqlock cannot rely
+on), the runner steps the world inline exactly as at ``shards=1`` —
+digest-identical by the shard-invariance contract — and records the
+reason in ``ShardedResult.transport_fallback``.
 
 Deterministic crash hooks for tests and chaos runs: the
 ``REPRO_SHARD_FAULT`` env var (or the ``faults=`` argument, or a
@@ -77,7 +77,6 @@ import logging
 import math
 import multiprocessing as mp
 import os
-import pickle
 import signal
 import time
 from dataclasses import dataclass, field
@@ -88,7 +87,6 @@ import numpy as np
 
 from repro.coordination.aggregation import StreamStats, VectorAggregate
 from repro.coordination.barrier import (
-    AllocationMessage,
     BoundaryMessage,
     EpochBarrier,
     FinishMessage,
@@ -293,8 +291,8 @@ class ShardTask:
     conservative: Dict[str, float] = field(default_factory=dict)
     faults: Tuple[ShardFault, ...] = ()
     restore: Dict[str, ClusterCheckpoint] = field(default_factory=dict)
-    # Shared-memory data plane: when set, the worker attaches to the
-    # parent's segment and the pipe carries only control traffic.
+    # Shared-memory data plane the worker attaches to (None only for the
+    # inline state, which never leaves the parent).
     plane: Optional[PlaneSpec] = None
     # First epoch this worker will execute (respawned workers resume at
     # the in-flight window; the allocation control block already shows it).
@@ -466,47 +464,6 @@ def _plane_rows(
     }
 
 
-def _shard_worker_main(conn: Any, task: ShardTask) -> None:
-    """Worker process entry point: epoch loop until FinishMessage.
-
-    Module-level (picklable under spawn); receives *all* state through
-    ``task`` — never module globals (SIM007's worker contract).
-    Dispatches to the shared-memory loop when the task carries a plane
-    spec; otherwise runs the pipe-message loop.
-    """
-    if task.plane is not None:
-        _shard_worker_shm(conn, task)
-        return
-    faults = {f.epoch: f.mode for f in task.faults}
-    try:
-        state = ShardState(task)
-        while True:
-            msg = conn.recv()
-            if isinstance(msg, FinishMessage):
-                return
-            if isinstance(msg, ReassignMessage):
-                added = state.adopt(msg.clusters, msg.checkpoints)
-                records = {
-                    c.spec.name: c.step(msg.epoch, msg.frac, task.conservative)
-                    for c in added
-                }
-                conn.send(_boundary(msg.epoch, task.shard, state, records,
-                                    clusters=added))
-                continue
-            mode = faults.pop(msg.epoch, None)
-            if mode is not None:
-                _fire_fault(mode)   # deterministic mid-window death
-            records = state.step(msg.epoch, msg.frac)
-            conn.send(_boundary(msg.epoch, task.shard, state, records))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        return
-    except Exception as exc:   # ship the failure; never leave a hang
-        try:
-            conn.send(WorkerFailure(task.shard, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-
-
 # Worker-side allocation poll backoff: tiny floor keeps barrier latency in
 # the tens of microseconds, tiny cap keeps a waiting worker nearly idle
 # without ever adding more than ~2 ms to an epoch boundary.
@@ -514,10 +471,13 @@ _WORKER_POLL_FLOOR = 0.0002
 _WORKER_POLL_CAP = 0.002
 
 
-def _shard_worker_shm(conn: Any, task: ShardTask) -> None:
-    """Shared-memory worker loop: allocations and boundaries via the plane.
+def _shard_worker_main(conn: Any, task: ShardTask) -> None:
+    """Worker process entry point: epoch loop until FinishMessage.
 
-    The pipe is polled non-blockingly for control traffic only.  A
+    Module-level (picklable under spawn); receives *all* state through
+    ``task`` — never module globals (SIM007's worker contract).
+    Allocations arrive and boundaries leave through the shared-memory
+    plane; the pipe is polled non-blockingly for control traffic only.  A
     ``ReassignMessage`` for epoch *k* is deferred until this worker has
     published its *own* epoch-*k* rows — publishing the adopted rows first
     would mark the slot's seqlock as epoch-*k*-complete while the owned
@@ -615,18 +575,21 @@ class ShardedResult:
     restarts: List[ShardRestart] = field(default_factory=list)
     reassignments: List[ShardReassignment] = field(default_factory=list)
     final_checkpoint_digest: str = ""
-    checkpoint_bytes: int = 0       # retained store size (sharded runs)
+    # Checkpoint bytes the shm ring retains (K epochs of binary records);
+    # 0 for inline runs, which keep no checkpoints.
+    checkpoint_bytes: int = 0
     barrier_polls: int = 0
+    # Parent time blocked in pipe reads: 0.0, since control traffic is
+    # polled non-blockingly; the parent's idle time is ``plane_wait_s``.
     barrier_wait_s: float = 0.0
     # Data-plane accounting.  ``data_plane`` is what actually carried the
-    # boundary exchange: "inline" (shards=1), "pipe", or "shm";
-    # ``transport_fallback`` records why a requested shm plane fell back
-    # to pipes.  ``bytes_per_epoch`` is the per-epoch boundary payload the
-    # parent handles: pickled message bytes for the pipe plane (probed
-    # once on a steady-state epoch), copied row/control bytes for the shm
-    # plane.  ``ring_bytes_per_epoch`` is the checkpoint-record bytes
-    # workers write in place per epoch (shm only; decoded only on
-    # restore/spill/audit, never crossing to the parent in steady state).
+    # boundary exchange: "inline" (shards=1, or shm unavailable — then
+    # ``transport_fallback`` records why) or "shm".  ``bytes_per_epoch``
+    # is the per-epoch boundary payload the parent copies (row columns,
+    # control block, sequence words); ``ring_bytes_per_epoch`` is the
+    # checkpoint-record bytes workers write in place per epoch (decoded
+    # only on restore/spill/audit, never crossing to the parent in steady
+    # state).
     data_plane: str = "inline"
     transport_fallback: Optional[str] = None
     bytes_per_epoch: int = 0
@@ -718,7 +681,9 @@ class ShardedRunner:
     (``"shard:epoch[:mode]"`` entries, strictly validated); when omitted,
     the ``REPRO_SHARD_FAULT`` env var is consulted with the same syntax
     (tolerantly: tokens for out-of-range shards are ignored, so one env
-    setting can target a specific matrix cell).
+    setting can target a specific matrix cell).  An explicit
+    fault whose shard or epoch the run does not have is a
+    :class:`FaultPlanError`: it could never fire.
     """
 
     def __init__(
@@ -732,17 +697,12 @@ class ShardedRunner:
         checkpoint_retain: int = 2,
         checkpoint_spill: Optional[str] = None,
         faults: Optional[Sequence[Any]] = None,
-        transport: str = "shm",
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if not world.clusters:
             raise ValueError("world has no clusters")
-        if transport not in ("pipe", "shm"):
-            raise ValueError(f"transport must be 'pipe' or 'shm', "
-                             f"not {transport!r}")
         self.world = world
-        self.transport = transport
         self.shards = min(int(shards), len(world.clusters))
         self.lp_cache = bool(lp_cache)
         self.backend = backend
@@ -786,8 +746,6 @@ class ShardedRunner:
         self._ring_owner: Optional[Dict[str, int]] = None
         self._plane_polls = 0
         self._plane_wait_s = 0.0
-        self._bytes_per_epoch = 0
-        self._probe_epoch = 0
 
     # -- fault binding ------------------------------------------------------
 
@@ -795,6 +753,7 @@ class ShardedRunner:
         self, faults: Optional[Sequence[Any]]
     ) -> Dict[int, Tuple[ShardFault, ...]]:
         specs: Dict[int, List[ShardFault]] = {i: [] for i in range(self.shards)}
+        n_windows = self.world.n_windows
         if faults is not None:
             for entry in faults:
                 parsed = _parse_fault_entry(entry)
@@ -809,6 +768,11 @@ class ShardedRunner:
                     raise FaultPlanError(
                         f"shard fault {entry!r}: shard {shard} out of range "
                         f"for a {self.shards}-shard run"
+                    )
+                if fault.epoch >= n_windows:
+                    raise FaultPlanError(
+                        f"shard fault {entry!r}: epoch {fault.epoch} out of "
+                        f"range for a {n_windows}-window run"
                     )
                 specs[shard].append(fault)
         else:
@@ -889,16 +853,11 @@ class ShardedRunner:
         self.restarts = []
         self.reassignments = []
         barrier_polls = 0
-        barrier_wait_s = 0.0
         self._plane = None
         self.transport_fallback = None
         self._ring_owner = None
         self._plane_polls = 0
         self._plane_wait_s = 0.0
-        self._bytes_per_epoch = 0
-        # Probe pipe-plane bytes on a steady-state epoch (epoch 0's
-        # allocation is None, so it under-counts).
-        self._probe_epoch = min(1, n_windows - 1)
 
         def policy_step(
             k: int, records: Dict[str, ClusterRecord]
@@ -908,7 +867,29 @@ class ShardedRunner:
                 gdemand[p][k] = merged.get(p, 0.0)
             return self._policy(merged)
 
-        if self.shards == 1:
+        if self.shards > 1:
+            # fork inherits the imported modules cheaply; spawn works the
+            # same because workers rebuild everything from the pickled
+            # task.  Chosen before plane creation: spawn workers get their
+            # own resource tracker and must unregister on attach.
+            method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+            self._ctx = mp.get_context(method)
+            try:
+                self._plane = ShmDataPlane.create(
+                    sorted(names), world.principals, self.shards,
+                    depth=max(2, self.checkpoint_retain),
+                    unregister_on_attach=(method != "fork"),
+                )
+            except ShmUnavailable as exc:
+                self.transport_fallback = str(exc)
+                _LOG.warning("shm data plane unavailable, running the "
+                             "%d-shard world inline: %s", self.shards, exc)
+
+        if self._plane is None:
+            # Inline: shards=1, or the shm fallback — every cluster's
+            # state machine stepped in this process, digest-identical to
+            # any sharded run by contract.
+            self._owned = {0: sorted(world.clusters, key=lambda c: c.name)}
             state = ShardState(self._task(0))
             for k in range(n_windows):
                 if frac is None:
@@ -921,25 +902,7 @@ class ShardedRunner:
                 frac = policy_step(k, records)
             final = state.checkpoints()
         else:
-            # fork inherits the imported modules cheaply; spawn works the
-            # same because workers rebuild everything from the pickled
-            # task.  Chosen before plane creation: spawn workers get their
-            # own resource tracker and must unregister on attach.
-            method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            self._mp_method = method
-            if self.transport == "shm":
-                try:
-                    self._plane = ShmDataPlane.create(
-                        sorted(names), world.principals, self.shards,
-                        depth=max(2, self.checkpoint_retain),
-                        unregister_on_attach=(method != "fork"),
-                    )
-                except ShmUnavailable as exc:
-                    self.transport_fallback = str(exc)
-                    _LOG.warning(
-                        "shm data plane unavailable, falling back to the "
-                        "pipe plane: %s", exc,
-                    )
+            plane = self._plane
             barrier = self._start_workers()
             try:
                 for k in range(n_windows):
@@ -948,19 +911,15 @@ class ShardedRunner:
                     else:
                         for p in world.principals:
                             frac_hist[p][k] = frac[p]
-                    if self._plane is not None:
-                        records = self._epoch_shm(barrier, k, frac)
-                        self._ring_owner = {c.name: s
-                                            for s, cl in self._owned.items()
-                                            for c in cl}
-                        if self.checkpoint_spill:
-                            # Documented expensive audit path: decode the
-                            # ring so the spill mirror stays complete.
-                            self._store.put(k, self._plane.read_checkpoints(
-                                k, self._ring_owner))
-                    else:
-                        records, ckpts = self._epoch(barrier, k, frac)
-                        self._store.put(k, ckpts)
+                    records = self._epoch_shm(barrier, k, frac)
+                    self._ring_owner = {c.name: s
+                                        for s, cl in self._owned.items()
+                                        for c in cl}
+                    if self.checkpoint_spill:
+                        # Documented expensive audit path: decode the
+                        # ring so the spill mirror stays complete.
+                        self._store.put(k, plane.read_checkpoints(
+                            k, self._ring_owner))
                     self._ingest(k, records)
                     frac = policy_step(k, records)
                 for shard in barrier.active:
@@ -968,25 +927,18 @@ class ShardedRunner:
                         barrier.send(shard, FinishMessage(n_windows))
                     except ShardWorkerError:
                         pass   # the horizon is reached; a late death is moot
-                if self._plane is not None:
-                    assert self._ring_owner is not None
-                    final = self._plane.read_checkpoints(n_windows - 1,
-                                                         self._ring_owner)
-                else:
-                    latest = self._store.latest()
-                    assert latest is not None
-                    final = latest[1]
+                assert self._ring_owner is not None
+                final = plane.read_checkpoints(n_windows - 1, self._ring_owner)
             finally:
                 barrier_polls = barrier.polls
-                barrier_wait_s = barrier.poll_wait_s
                 barrier.close(terminate=True)
-                if self._plane is not None:
-                    self._plane.close()
-                    self._plane.unlink()
+                plane.close()
+                plane.unlink()
 
+        plane = self._plane
         return ShardedResult(
             world=world,
-            shards=self.shards,
+            shards=self.shards if plane is not None else 1,
             window=world.window,
             n_windows=n_windows,
             principals=tuple(world.principals),
@@ -1004,17 +956,15 @@ class ShardedRunner:
             restarts=list(self.restarts),
             reassignments=list(self.reassignments),
             final_checkpoint_digest=epoch_digest(final),
-            checkpoint_bytes=self._store.bytes_retained,
+            checkpoint_bytes=(plane.spec.depth * plane.ring_bytes_per_epoch
+                              if plane is not None else 0),
             barrier_polls=barrier_polls,
-            barrier_wait_s=barrier_wait_s,
-            data_plane=("inline" if self.shards == 1
-                        else "shm" if self._plane is not None else "pipe"),
+            data_plane="shm" if plane is not None else "inline",
             transport_fallback=self.transport_fallback,
-            bytes_per_epoch=(self._plane.boundary_bytes_per_epoch
-                             if self._plane is not None
-                             else self._bytes_per_epoch),
-            ring_bytes_per_epoch=(self._plane.ring_bytes_per_epoch
-                                  if self._plane is not None else 0),
+            bytes_per_epoch=(plane.boundary_bytes_per_epoch
+                             if plane is not None else 0),
+            ring_bytes_per_epoch=(plane.ring_bytes_per_epoch
+                                  if plane is not None else 0),
             plane_polls=self._plane_polls,
             plane_wait_s=self._plane_wait_s,
         )
@@ -1036,57 +986,9 @@ class ShardedRunner:
 
     # -- sharded epoch protocol (with recovery) -----------------------------
 
-    def _epoch(
-        self, barrier: EpochBarrier, k: int, frac: Optional[Dict[str, float]]
-    ) -> Tuple[Dict[str, ClusterRecord], Dict[str, ClusterCheckpoint]]:
-        """Run window ``k`` across the workers; heal failures as they surface."""
-        send_failures: List[ShardWorkerError] = []
-        probe = (k == self._probe_epoch)
-        self._expected = {}
-        for shard in barrier.active:
-            self._expected[shard] = 1
-            msg_out = AllocationMessage(k, frac)
-            if probe:
-                # One-time pipe-plane cost probe on a steady-state epoch:
-                # what actually crosses per epoch, pickled.
-                self._bytes_per_epoch += len(
-                    pickle.dumps(msg_out, pickle.HIGHEST_PROTOCOL))
-            try:
-                barrier.send(shard, msg_out)
-            except ShardWorkerError as err:
-                send_failures.append(err)
-        for err in send_failures:
-            self._handle_failure(barrier, err.shard, k, frac, err)
-        records: Dict[str, ClusterRecord] = {}
-        ckpts: Dict[str, ClusterCheckpoint] = {}
-        while True:
-            pending = [s for s in sorted(self._expected) if self._expected[s] > 0]
-            if not pending:
-                break
-            shard = pending[0]
-            try:
-                msg = barrier.recv(shard, k, BoundaryMessage)
-            except ShardWorkerError as err:
-                self._handle_failure(barrier, shard, k, frac, err)
-                continue
-            self._expected[shard] -= 1
-            if probe:
-                self._bytes_per_epoch += len(
-                    pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
-            for name, agg in msg.demand.items():
-                records[name] = (agg, dict(msg.admitted.get(name, {})))
-            ckpts.update(msg.checkpoints)
-        missing = [n for n in (c.name for c in self.world.clusters)
-                   if n not in records]
-        if missing:
-            raise ShardWorkerError(
-                -1, f"epoch {k} completed without records for {missing}"
-            )
-        return records, ckpts
-
-    # Parent-side seqlock poll backoff (shm plane): each poll is a couple
-    # of numpy scalar reads, so the floor can sit well under the pipe
-    # plane's 1 ms syscall floor without burning a core.
+    # Parent-side seqlock poll backoff: each poll is a couple of numpy
+    # scalar reads, so the floor can sit well under a 1 ms syscall poll
+    # without burning a core.
     _PARENT_POLL_FLOOR = 0.00005
     _PARENT_POLL_CAP = 0.002
 
@@ -1095,12 +997,12 @@ class ShardedRunner:
     ) -> Dict[str, ClusterRecord]:
         """Window ``k`` over the shared-memory plane; heal failures inline.
 
-        The allocation is seqlock-published once (replacing per-shard
-        pipe sends); the gather loop then polls every pending shard's
-        slot, folding rows the moment they publish, and interleaves
-        non-blocking pipe checks so worker death (or an adoption reply)
-        surfaces between slot polls.  ``self._expected`` counts pending
-        pipe-borne adoption replies, exactly as in the pipe plane.
+        The allocation is seqlock-published once for all shards; the
+        gather loop then polls every pending shard's slot, folding rows
+        the moment they publish, and interleaves non-blocking pipe checks
+        so worker death (or an adoption reply) surfaces between slot
+        polls.  ``self._expected`` counts pending pipe-borne adoption
+        replies per shard.
         """
         plane = self._plane
         assert plane is not None
@@ -1199,26 +1101,13 @@ class ShardedRunner:
     ) -> Tuple[int, Dict[str, ClusterCheckpoint]]:
         """(restored_epoch, full snapshot) a recovery at epoch ``k`` uses.
 
-        Pipe plane: the checkpoint store's newest retained epoch (always
-        ``k-1`` during epoch ``k``).  Shm plane: decode epoch ``k-1`` from
-        the ring via the owner map of the last completed epoch — the
-        deferred-digest path, paid only on recovery.
+        Decodes epoch ``k-1`` from the ring via the owner map of the last
+        completed epoch — the deferred-digest path, paid only on recovery.
         """
-        if self._plane is not None:
-            if k == 0 or self._ring_owner is None:
-                return -1, {}
-            return k - 1, self._plane.read_checkpoints(k - 1, self._ring_owner)
-        latest = self._store.latest()
-        return latest if latest is not None else (-1, {})
-
-    def _restored_digest(self, restored_epoch: int,
-                         snap: Dict[str, ClusterCheckpoint]) -> str:
-        """Audit digest of the state a recovery restored from (lazy)."""
-        if restored_epoch < 0:
-            return ""
-        if self._plane is None:
-            return self._store.digest(restored_epoch)
-        return epoch_digest(snap)
+        assert self._plane is not None
+        if k == 0 or self._ring_owner is None:
+            return -1, {}
+        return k - 1, self._plane.read_checkpoints(k - 1, self._ring_owner)
 
     def _handle_failure(
         self, barrier: EpochBarrier, shard: int, k: int,
@@ -1230,7 +1119,7 @@ class ShardedRunner:
         attempt = self._epoch_attempts.get((shard, k), 0)
         if (len(self.restarts) < policy.max_restarts
                 and attempt < policy.per_epoch_retries):
-            self._respawn(barrier, shard, k, frac, err, attempt)
+            self._respawn(barrier, shard, k, err, attempt)
         elif policy.reassign_on_exhaustion:
             self._reassign(barrier, shard, k, frac, err)
         else:
@@ -1238,7 +1127,7 @@ class ShardedRunner:
 
     def _respawn(
         self, barrier: EpochBarrier, shard: int, k: int,
-        frac: Optional[Dict[str, float]], err: ShardWorkerError, attempt: int,
+        err: ShardWorkerError, attempt: int,
     ) -> None:
         """Respawn a dead shard from the last checkpoint and replay window k."""
         time.sleep(self.recovery.backoff(attempt))
@@ -1253,15 +1142,13 @@ class ShardedRunner:
         ]
         conn, proc = self._spawn(self._task(shard, restore=restore,
                                             resume_epoch=k))
+        # The control block already shows epoch k; the respawned worker
+        # resumes there without any pipe traffic.
         barrier.replace(shard, conn, proc)
-        if self._plane is None:
-            barrier.send(shard, AllocationMessage(k, frac))
-        # (shm plane: the control block already shows epoch k; the
-        # respawned worker resumes there without any pipe traffic.)
         self.restarts.append(ShardRestart(
             epoch=k, shard=shard, attempt=attempt + 1,
             restored_epoch=restored_epoch,
-            restored_digest=self._restored_digest(restored_epoch, snap),
+            restored_digest=epoch_digest(snap) if restored_epoch >= 0 else "",
             detail=err.detail,
         ))
         _LOG.warning(
@@ -1322,15 +1209,12 @@ class ShardedRunner:
         return parent, proc
 
     def _start_workers(self) -> EpochBarrier:
-        method = getattr(self, "_mp_method", None) or (
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        self._ctx = mp.get_context(method)
         conns, procs = [], []
         for shard in range(self.shards):
             conn, proc = self._spawn(self._task(shard))
             conns.append(conn)
             procs.append(proc)
-        return EpochBarrier(conns, procs, timeout=self.epoch_timeout)
+        return EpochBarrier(conns, procs)
 
 
 # ---------------------------------------------------------------------------
@@ -1445,7 +1329,6 @@ def run_sharded(
     checkpoint_retain: int = 2,
     checkpoint_spill: Optional[str] = None,
     faults: Optional[Sequence[Any]] = None,
-    transport: str = "shm",
 ) -> ShardedResult:
     """Build a named sharded world and run it with R shards."""
     try:
@@ -1461,7 +1344,7 @@ def run_sharded(
                            recovery=recovery,
                            checkpoint_retain=checkpoint_retain,
                            checkpoint_spill=checkpoint_spill,
-                           faults=faults, transport=transport)
+                           faults=faults)
     return runner.run()
 
 
@@ -1471,7 +1354,6 @@ def run_sharded_figure(
     seed: int = 0,
     shards: int = 1,
     lp_cache: bool = True,
-    transport: str = "shm",
     **_ignored: Any,
 ) -> FigureResult:
     """Run fig6/fig9 on the sharded lane, returning a FigureResult.
@@ -1481,7 +1363,7 @@ def run_sharded_figure(
     so the paper's phase rates must still come out.
     """
     res = run_sharded(figure, duration_scale=duration_scale, seed=seed,
-                      shards=shards, lp_cache=lp_cache, transport=transport)
+                      shards=shards, lp_cache=lp_cache)
     T = 100.0 * duration_scale
     settle = min(5.0, T * 0.2)
     if figure == "fig6":

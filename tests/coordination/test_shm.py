@@ -11,9 +11,11 @@ bench gates on those numbers.
 The torn-read stress test races a real writer thread against a reader on
 one slot ring: the reader may retry arbitrarily often but must never
 return a row mixing two epochs' values.  That is the empirical check
-backing the module's documented reliance on x86-64 total store order.
+backing the module's documented reliance on x86-64 total store order —
+which is also why the plane refuses to exist on any other CPU.
 """
 
+import platform
 import threading
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 
 from repro.coordination.aggregation import StreamStats
 from repro.coordination.checkpoint import ClusterCheckpoint, record_words
-from repro.coordination.shm import PlaneSpec, ShmDataPlane
+from repro.coordination.shm import PlaneSpec, ShmDataPlane, ShmUnavailable
 from repro.sim.rng import RngStreams
 
 PRINCIPALS = ("A", "B")
@@ -71,6 +73,13 @@ class TestLayout:
         C, P = 4, len(PRINCIPALS)
         assert plane.boundary_bytes_per_epoch == 8 * (C * 2 * P + (3 + P) + 2)
         assert plane.ring_bytes_per_epoch == 8 * C * record_words(P)
+
+    @pytest.mark.parametrize("machine", ["aarch64", "arm64", "ppc64le", ""])
+    def test_refused_without_x86_store_order(self, monkeypatch, machine):
+        monkeypatch.setattr(platform, "machine", lambda: machine)
+        with pytest.raises(ShmUnavailable, match="x86-64"):
+            ShmDataPlane.create(clusters=["R1"], principals=PRINCIPALS,
+                                shards=1)
 
     def test_depth_below_two_rejected(self, plane):
         bad = PlaneSpec(name="x", clusters=("a",), principals=PRINCIPALS,
@@ -194,8 +203,14 @@ class TestSeqlockStress:
         t = threading.Thread(target=writer)
         t.start()
         try:
-            successes = retries = 0
-            while successes < 200 and retries < 2_000_000:
+            # Read until both 200 consistent copies *and* at least one
+            # retry have been seen: on a quiet host the writer may not lap
+            # the reader within the first 200 reads, so keep reading (a
+            # bounded budget) until the race has actually happened.
+            successes = retries = attempts = 0
+            while ((successes < 200 or retries == 0)
+                   and attempts < 2_000_000):
+                attempts += 1
                 e = epochs_written[0]           # a recently valid epoch
                 rows = plane.try_read_boundary(0, e, clusters)
                 if rows is None:
@@ -211,6 +226,6 @@ class TestSeqlockStress:
             t.join()
             plane.close()
             plane.unlink()
-        assert successes == 200
+        assert successes >= 200
         # The race is real: the writer lapped the reader at least once.
         assert retries > 0

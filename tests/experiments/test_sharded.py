@@ -1,13 +1,15 @@
 """Sharded single-scenario execution: parity, routing, and failure tests.
 
 The sharded lane's whole contract is one equality: ``shards=1`` and
-``shards=R`` produce bit-identical SHA-256 digests for every R — and,
-since the zero-copy data plane landed, for either transport.  The digest
-deliberately excludes both the shard count and the transport, so equality
-*is* the proof that partitioning, boundary publication (pickled pipe
-messages or shared-memory seqlock slots) and the combining-tree fold
-carry no shard- or transport-dependent state.
+``shards=R`` produce bit-identical SHA-256 digests for every R — whether
+the R shards ran as worker processes over the shared-memory plane or
+inline because shm was unavailable.  The digest deliberately excludes the
+shard count, so equality *is* the proof that partitioning, boundary
+publication (shared-memory seqlock slots) and the combining-tree fold
+carry no shard-dependent state.
 """
+
+import platform
 
 import pytest
 
@@ -29,24 +31,44 @@ SCALE = 0.02
 REPLICAS = 4
 
 
-def digest(figure, shards, seed=0, transport="shm"):
+def digest(figure, shards, seed=0):
     return run_sharded(figure, duration_scale=SCALE, seed=seed,
-                       shards=shards, replicas=REPLICAS,
-                       transport=transport).digest()
+                       shards=shards, replicas=REPLICAS).digest()
+
+
+def pretend_non_x86(monkeypatch):
+    """Pretend to be an aarch64 host, where the fence-free seqlock is
+    unsafe and the runner must step the world inline."""
+    monkeypatch.setattr(platform, "machine", lambda: "aarch64")
 
 
 class TestDigestParity:
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_fig6_bit_identical_across_shard_counts(self, transport):
-        reference = digest("fig6", 1)
-        for shards in (2, 4, 8):
-            assert digest("fig6", shards, transport=transport) == reference
+    """``inline`` forces the shm-unavailable fallback (a non-x86-64 CPU),
+    which must be as digest-invisible as the worker processes are."""
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_fig9_bit_identical_across_shard_counts(self, transport):
+    @pytest.mark.parametrize("plane", ["shm", "inline"])
+    def test_fig6_bit_identical_across_shard_counts(self, plane, monkeypatch):
+        reference = digest("fig6", 1)
+        if plane == "inline":
+            pretend_non_x86(monkeypatch)
+        for shards in (2, 4, 8):
+            res = run_sharded("fig6", duration_scale=SCALE, seed=0,
+                              shards=shards, replicas=REPLICAS)
+            # A host without usable shm runs the "shm" case inline too.
+            assert res.data_plane == plane or res.transport_fallback
+            assert res.digest() == reference
+
+    @pytest.mark.parametrize("plane", ["shm", "inline"])
+    def test_fig9_bit_identical_across_shard_counts(self, plane, monkeypatch):
         reference = digest("fig9", 1)
+        if plane == "inline":
+            pretend_non_x86(monkeypatch)
         for shards in (2, 4):
-            assert digest("fig9", shards, transport=transport) == reference
+            res = run_sharded("fig9", duration_scale=SCALE, seed=0,
+                              shards=shards, replicas=REPLICAS)
+            # A host without usable shm runs the "shm" case inline too.
+            assert res.data_plane == plane or res.transport_fallback
+            assert res.digest() == reference
 
     def test_digest_depends_on_seed_not_shards(self):
         assert digest("fig6", 1, seed=0) != digest("fig6", 1, seed=1)
@@ -69,38 +91,51 @@ class TestDigestParity:
 
 
 class TestDataPlane:
-    """Transport selection and the byte accounting the bench gates on."""
-
-    def test_invalid_transport_rejected(self):
-        world = sharded_fig6_world(duration_scale=SCALE, seed=0,
-                                   replicas=REPLICAS)
-        with pytest.raises(ValueError, match="transport"):
-            ShardedRunner(world, shards=2, transport="carrier-pigeon")
+    """Plane selection and the byte accounting the bench gates on."""
 
     def test_inline_run_reports_inline_plane(self):
         res = run_sharded("fig6", duration_scale=SCALE, seed=0, shards=1,
                           replicas=REPLICAS)
         assert res.data_plane == "inline"
+        assert res.transport_fallback is None
+        assert res.checkpoint_bytes == 0
+
+    def test_non_x86_host_runs_inline(self, monkeypatch):
+        pretend_non_x86(monkeypatch)
+        res = run_sharded("fig6", duration_scale=SCALE, seed=0, shards=2,
+                          replicas=REPLICAS)
+        assert res.data_plane == "inline"
+        assert res.shards == 1
+        assert "aarch64" in res.transport_fallback
+        assert res.digest() == digest("fig6", 1)
 
     def test_shm_moves_an_order_of_magnitude_fewer_bytes(self):
-        pipe = run_sharded("fig6", duration_scale=SCALE, seed=0, shards=4,
-                           replicas=REPLICAS, transport="pipe")
         shm = run_sharded("fig6", duration_scale=SCALE, seed=0, shards=4,
-                          replicas=REPLICAS, transport="shm")
-        assert pipe.data_plane == "pipe" and pipe.bytes_per_epoch > 0
+                          replicas=REPLICAS)
         if shm.data_plane != "shm":        # platform without POSIX shm
             assert shm.transport_fallback
             pytest.skip(f"shm unavailable: {shm.transport_fallback}")
         assert shm.transport_fallback is None
-        # The PR's headline number: >= 10x fewer parent-handled bytes.
-        assert pipe.bytes_per_epoch >= 10 * shm.bytes_per_epoch
+        # The pickled pipe plane moved 29724 B/epoch on the 64-cluster
+        # bench world; a tenth of that bounds shm even on this world.
+        assert 0 < shm.bytes_per_epoch <= 29724 // 10
         # The deferred checkpoint ring is accounted, not hidden.
         assert shm.ring_bytes_per_epoch > 0
 
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_checkpoint_bytes_count_the_retained_ring(self, shards):
+        res = run_sharded("fig6", duration_scale=SCALE, seed=0,
+                          shards=shards, replicas=REPLICAS,
+                          checkpoint_retain=3)
+        if res.data_plane != "shm":
+            pytest.skip(f"shm unavailable: {res.transport_fallback}")
+        assert res.checkpoint_bytes > 0
+        assert res.checkpoint_bytes == 3 * res.ring_bytes_per_epoch
+
     def test_figure_notes_name_the_data_plane(self):
         res = run_sharded_figure("fig6", duration_scale=SCALE, seed=0,
-                                 shards=2, transport="pipe")
-        assert "data plane pipe" in res.notes
+                                 shards=2)
+        assert "data plane shm" in res.notes
 
 
 class TestFigureIntegration:
@@ -173,6 +208,18 @@ class TestWorkerFailure:
         with pytest.raises(FaultPlanError, match="malformed"):
             ShardedRunner(world, shards=2, faults=["0:1:frobnicate"])
 
+    def test_explicit_fault_past_the_horizon_is_typed_error(self):
+        # A 60-window world has no epoch 9999: the fault could never fire,
+        # and a run that silently skipped it would "pass" untested.
+        world = sharded_fig6_world(duration_scale=SCALE, seed=0,
+                                   replicas=REPLICAS)
+        assert world.n_windows == 60
+        with pytest.raises(FaultPlanError, match="epoch 9999"):
+            ShardedRunner(world, shards=2, faults=["0:9999:kill"])
+        with pytest.raises(FaultPlanError, match="epoch 60"):
+            ShardedRunner(world, shards=2, faults=["0:60"])
+        ShardedRunner(world, shards=2, faults=["0:59"])   # last epoch is fine
+
 
 def faulted(figure, shards, faults, **kwargs):
     return run_sharded(figure, duration_scale=SCALE, seed=0, shards=shards,
@@ -182,22 +229,18 @@ def faulted(figure, shards, faults, **kwargs):
 class TestCrashRecovery:
     """Self-healing: deaths at window barriers leave the digest intact.
 
-    Parametrized cells run on both data planes — recovery under shm
-    restores from the shared checkpoint ring (decoded binary records)
-    rather than the parent's pickled store, and must land on the same
-    digests.
+    Recovery restores from the shared checkpoint ring (decoded binary
+    records) and must land on the unfaulted ``shards=1`` digest.
     """
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_exception_death_recovers_bit_identical(self, transport):
-        res = faulted("fig6", 2, ["0:3:exc"], transport=transport)
+    def test_exception_death_recovers_bit_identical(self):
+        res = faulted("fig6", 2, ["0:3:exc"])
         assert [r.epoch for r in res.restarts] == [3]
         assert res.restarts[0].restored_epoch == 2
         assert res.digest() == digest("fig6", 1)
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_sigkill_death_recovers_bit_identical(self, transport):
-        res = faulted("fig6", 2, ["1:4:kill"], transport=transport)
+    def test_sigkill_death_recovers_bit_identical(self):
+        res = faulted("fig6", 2, ["1:4:kill"])
         assert len(res.restarts) == 1
         assert res.digest() == digest("fig6", 1)
 
@@ -220,11 +263,9 @@ class TestCrashRecovery:
         assert res.restarts[0].restored_digest  # non-empty SHA-256
         assert res.restarts[0].attempt == 1     # 1-based: first respawn
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_budget_exhaustion_reassigns_to_survivors(self, transport):
+    def test_budget_exhaustion_reassigns_to_survivors(self):
         policy = RecoveryPolicy(max_restarts=1, backoff_base=0.01)
-        res = faulted("fig6", 2, ["0:2:kill", "0:4:kill"], recovery=policy,
-                      transport=transport)
+        res = faulted("fig6", 2, ["0:2:kill", "0:4:kill"], recovery=policy)
         assert len(res.restarts) == 1
         assert len(res.reassignments) == 1
         move = res.reassignments[0]
@@ -242,8 +283,35 @@ class TestCrashRecovery:
         with pytest.raises(ShardWorkerError):
             runner.run()
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_fig9_recovery_parity(self, transport):
-        res = faulted("fig9", 2, ["0:3:kill"], transport=transport)
+    def test_fig9_recovery_parity(self):
+        res = faulted("fig9", 2, ["0:3:kill"])
         assert len(res.restarts) == 1
         assert res.digest() == digest("fig9", 1)
+
+
+class TestUnexercisedCrashesFail:
+    """A crash run that recorded no restart tested nothing: on a host
+    that runs inline (no worker to kill) it must fail, not pass."""
+
+    def test_crash_matrix_cells_need_a_restart(self, monkeypatch):
+        from repro.experiments.faultmatrix import run_crash_recovery_matrix
+
+        pretend_non_x86(monkeypatch)
+        report = run_crash_recovery_matrix("fig6", duration_scale=SCALE,
+                                           shards=2, replicas=REPLICAS)
+        cells = report["cells"]
+        assert all(c["match"] for c in cells.values())   # digests agree...
+        assert all(c["restarts"] == 0 for c in cells.values())
+        assert not any(c["ok"] for c in cells.values())  # ...yet nothing ran
+        assert not report["ok"]
+
+    def test_sharded_replay_crash_run_needs_a_restart(self, monkeypatch):
+        from repro.analysis.replay import sharded_replay
+
+        pretend_non_x86(monkeypatch)
+        report = sharded_replay("fig6", duration_scale=SCALE, shards=2,
+                                with_crashes=True)
+        assert report.meta["crash_restarts"] == 0
+        assert not report.ok
+        crash = report.digests[report.labels.index("shards=2+crashes")]
+        assert crash.endswith(":restart-not-triggered")
